@@ -21,10 +21,11 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsc_fleet::{
     replay_fleet, replay_population, replay_population_sequential, replay_sequential,
-    total_delivered, FleetConfig, Megabatch, PopulationConfig, WorkerPool,
+    total_delivered, FleetConfig, PopulationConfig, WorkerPool,
 };
 use tsc_netsim::Scenario;
-use tscclock::{ClockConfig, RawExchange, TscNtpClock};
+use tsc_bench::ingest_shared_stream;
+use tscclock::{ClockConfig, RawExchange};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -69,10 +70,6 @@ fn shared_stream(polls: usize, poll_period: f64) -> Vec<RawExchange> {
         .collect()
 }
 
-/// Lanes per SoA megabatch stripe in the ingest benches (the fleet
-/// engine's default stripe width).
-const STRIPE: usize = 8;
-
 fn bench_fleet_ingest(c: &mut Criterion) {
     let clocks = 1000usize;
     for (label, poll, polls) in [("poll64", 64.0, 300usize), ("poll1024", 1024.0, 300)] {
@@ -83,24 +80,10 @@ fn bench_fleet_ingest(c: &mut Criterion) {
         g.throughput(Throughput::Elements(total));
         for threads in THREAD_COUNTS {
             let mut pool = WorkerPool::new(threads);
-            let exchanges = std::sync::Arc::clone(&exchanges);
             let cc = ClockConfig::paper_defaults(poll);
-            let stripes = clocks.div_ceil(STRIPE);
             g.bench_function(format!("{threads}threads"), |b| {
                 b.iter(|| {
-                    let exchanges = std::sync::Arc::clone(&exchanges);
-                    let produced =
-                        pool.run(stripes, (stripes / (8 * threads)).max(1), move |s| {
-                            let count = STRIPE.min(clocks - s * STRIPE);
-                            let mut stripe_clocks: Vec<TscNtpClock> =
-                                (0..count).map(|_| TscNtpClock::new(cc)).collect();
-                            let lanes: Vec<&[RawExchange]> = vec![exchanges.as_slice(); count];
-                            let mut mb = Megabatch::new();
-                            let mut produced = 0u64;
-                            mb.run(&mut stripe_clocks, &lanes, |_, _| produced += 1);
-                            produced
-                        });
-                    std::hint::black_box(produced.iter().sum::<u64>())
+                    std::hint::black_box(ingest_shared_stream(&mut pool, &exchanges, clocks, cc))
                 })
             });
         }

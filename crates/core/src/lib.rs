@@ -122,15 +122,9 @@ pub mod snapshot;
 pub mod units;
 
 pub use asym::{estimate_asymmetry, RefExchange};
-pub use clock::{
-    ClockEvent, ClockStatus, EventSet, ProcessOutput, StepMid, StepPhase, StepPrep, TscNtpClock,
-};
+pub use clock::{ClockEvent, ClockStatus, EventSet, ProcessOutput, TscNtpClock};
 pub use config::ClockConfig;
 pub use exchange::RawExchange;
-pub use fastmath::{
-    apply_scalar, div_slices, exp_clamped_slice, kernel_round1, kernel_round2, KernelOps,
-    KernelVals, DIV_SLOTS,
-};
 pub use history::{History, PacketRecord};
 pub use local_rate::{LocalRate, LocalRateEvent};
 pub use naive::{naive_offset, naive_rate, naive_rate_backward, naive_rate_forward};

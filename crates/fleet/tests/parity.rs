@@ -8,12 +8,12 @@
 
 use proptest::prelude::*;
 use tsc_fleet::{
-    replay_fleet, replay_population, replay_population_sequential, replay_quorum_fleet,
+    compare_herd, replay_fleet, replay_population, replay_population_sequential, replay_quorum_fleet,
     replay_quorum_sequential, replay_sequential, ChurnPlan, FleetConfig, PopulationConfig,
     QuorumFleetConfig, WorkerPool,
 };
 use tsc_netsim::{
-    LevelShift, MultiServerScenario, Scenario, ServerKind, ServerPath,
+    LevelShift, MultiServerScenario, PathProfile, ProfileMix, Scenario, ServerKind, ServerPath,
 };
 use tsc_quorum::QuorumConfig;
 use tscclock::ClockConfig;
@@ -270,4 +270,87 @@ proptest! {
         let got = replay_fleet(&mut pool, &cfg);
         prop_assert_eq!(got, expected);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Golden digests
+//
+// The parity tests above compare one engine against another, so they would
+// still pass if every engine drifted together. These constants pin the
+// absolute digests of the same small configurations, so any change to the
+// clock's floating-point operation order shows up here as a mismatch.
+
+const GOLDEN_FLEET: [u64; 24] = [
+    0x22140e1f94a401bb, 0xeecf5dfb65ec5641, 0xeae0934158e7ef31, 0x8573a7f2f78f1e71,
+    0x93c3c212fca5ec59, 0xfdad2ff05b21ef41, 0x5aba23fecbb40f33, 0x766be9387d8a7853,
+    0xf51f0a67274de63f, 0x42a8bd989ea8f145, 0x5c18fa2cc868ea65, 0x525b494fdd72933d,
+    0x8a0bfe522fdfb0d4, 0x6c3dd8763c5dea09, 0x461b72e4b8aa465c, 0x9d07e50eb3642bdf,
+    0xdd7117a581debc4b, 0x200e189e6e9765b6, 0x269bc610d2287159, 0x0b9e847d1c7c064b,
+    0x1b6d7f84b7af495d, 0x436014266da44d0e, 0xc9b64989084a687d, 0x25f3fb68c3143c03,
+];
+
+const GOLDEN_QUORUM: [u64; 12] = [
+    0x4f4f1070e659fc4b, 0xfb4a5960ffb283b2, 0x9adb8ba380660711, 0x7d4c5470d9ca4b8f,
+    0xba193cc0844f57e9, 0xdcc3def53d10f494, 0xc47dda6ae5a446a3, 0xd7bcf6876d078950,
+    0xe2a4960a2063130f, 0x3152864de2938160, 0x21322a2a930055e4, 0xbaf59350ba64018d,
+];
+
+const GOLDEN_TESTBED: [u64; 6] = [
+    0x4e39fab6eec2cfa1, 0xa66b35f790f1ba5b, 0x499a4e96dd3c6f55, 0x9ccb1e0304da96bd,
+    0x8321ac8ffeb55984, 0xf435c39ee8bc629d,
+];
+
+const GOLDEN_POPULATION: u64 = 0xa43a6f955c540783;
+
+/// `(naive, jittered)` population digests of the herd ablation
+/// configuration the lifecycle and crash-recovery suites build.
+const GOLDEN_HERD: (u64, u64) = (0xde71e89251d273f7, 0xccfd7ae71df434a7);
+
+#[test]
+fn golden_fleet_digests_are_pinned() {
+    let cfg = eventful_fleet(24);
+    let seq: Vec<u64> = replay_sequential(&cfg).iter().map(|s| s.digest).collect();
+    assert_eq!(seq, GOLDEN_FLEET, "sequential fleet digests drifted");
+    let mut pool = WorkerPool::new(2);
+    let par: Vec<u64> = replay_fleet(&mut pool, &cfg).iter().map(|s| s.digest).collect();
+    assert_eq!(par, GOLDEN_FLEET, "pooled fleet digests drifted");
+}
+
+#[test]
+fn golden_quorum_digests_are_pinned() {
+    let got: Vec<u64> = replay_quorum_sequential(&eventful_quorum_fleet(12))
+        .iter()
+        .map(|s| s.digest)
+        .collect();
+    assert_eq!(got, GOLDEN_QUORUM, "quorum fleet digests drifted");
+    let scenario = MultiServerScenario::paper_testbed(0)
+        .with_duration(16.0 * 600.0)
+        .with_server_path(
+            2,
+            ServerPath::new(ServerKind::Ext)
+                .with_shift(LevelShift::asymmetric(16.0 * 300.0, None, 2e-3)),
+        );
+    let cfg = QuorumFleetConfig::new(6, 7, scenario, QuorumConfig::paper_defaults(16.0));
+    let got: Vec<u64> = replay_quorum_sequential(&cfg).iter().map(|s| s.digest).collect();
+    assert_eq!(got, GOLDEN_TESTBED, "paper-testbed quorum digests drifted");
+}
+
+#[test]
+fn golden_population_digests_are_pinned() {
+    let got = replay_population_sequential(&eventful_population(16)).digest();
+    assert_eq!(got, GOLDEN_POPULATION, "population digest drifted");
+    let scenario = Scenario::baseline(0)
+        .with_poll_period(16.0)
+        .with_duration(2.0 * 3600.0)
+        .with_outage(3600.0, 3600.0 + 600.0);
+    let mut cfg = PopulationConfig::new(64, 5, scenario, ClockConfig::paper_defaults(16.0));
+    cfg.mix = ProfileMix::single(PathProfile::Wifi);
+    cfg.naive_retry = 2.0;
+    let mut pool = WorkerPool::new(2);
+    let herd = compare_herd(&mut pool, &cfg, 16.0);
+    assert_eq!(
+        (herd.naive.digest(), herd.jittered.digest()),
+        GOLDEN_HERD,
+        "herd ablation digests drifted"
+    );
 }

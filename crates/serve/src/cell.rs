@@ -66,7 +66,7 @@ pub struct ClockSnapshot {
 
 impl ClockSnapshot {
     /// Elapsed seconds between the seal and counter reading `tsc`
-    /// (negative if `tsc` predates the seal — callers treat that as 0).
+    /// (negative if `tsc` reads behind the seal).
     #[inline]
     pub fn staleness(&self, tsc: u64) -> f64 {
         (tsc.wrapping_sub(self.tsc0) as i64) as f64 * self.rate
@@ -79,10 +79,17 @@ impl ClockSnapshot {
     }
 
     /// Served-error bound at `tsc`: seal-time bound plus staleness
-    /// widening. Monotone in `tsc` between republishes.
+    /// widening. A reading *behind* the seal widens the bound by the whole
+    /// backstep: it cannot be told apart from a counter that stepped back
+    /// by that much, so the served time may be off by all of it.
     #[inline]
     pub fn bound_at(&self, tsc: u64) -> f64 {
-        self.bound + self.widen_rate * self.staleness(tsc).max(0.0)
+        let staleness = self.staleness(tsc);
+        if staleness >= 0.0 {
+            self.bound + self.widen_rate * staleness
+        } else {
+            self.bound - staleness
+        }
     }
 }
 
@@ -245,8 +252,8 @@ mod tests {
         assert!((s.staleness(tsc) - 2e-6).abs() < 1e-18);
         assert!((s.time_at(tsc) - (s.base + 2e-6)).abs() < 1e-9);
         assert!((s.bound_at(tsc) - (1e-6 + 5e-8 * 2e-6)).abs() < 1e-18);
-        // A reading just *before* the seal must not shrink the bound.
-        assert!(s.bound_at(s.tsc0.wrapping_sub(10)) >= s.bound);
+        // A reading *behind* the seal widens the bound by the backstep.
+        assert!((s.bound_at(s.tsc0.wrapping_sub(10)) - (s.bound + 10e-9)).abs() < 1e-18);
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! Every response carries a served-error bound (clock error at seal +
 //! `widen_rate`·staleness) in its root-dispersion field, and requests
 //! past the staleness horizon are refused with a stratum-0 Kiss-o'-Death
-//! (`STAL`) rather than answered stale.
+//! (`STAL`) rather than answered stale; a counter reading that stepped
+//! back behind the seal is refused with `STEP`.
 
 pub mod cell;
 pub mod plane;
@@ -32,7 +33,7 @@ pub mod transport;
 pub use cell::{ClockSnapshot, MutexCell, SnapshotCell};
 pub use plane::{
     decide, instant_counter, spawn_udp, Decision, ServeConfig, ServeDaemonHandle, ServePlane,
-    ServeStats, REFUSE_INIT, REFUSE_STALE, REFUSE_UNSYNC,
+    ServeStats, DEFAULT_RESIDENCE, MAX_BACKSTEP, REFUSE_INIT, REFUSE_STALE, REFUSE_STEP, REFUSE_UNSYNC,
 };
 pub use publish::{PublishPolicy, Publisher};
 pub use transport::{BatchBufs, DatagramBatch, SimTransport, UdpBatchTransport, SLOT_LEN};

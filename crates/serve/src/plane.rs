@@ -8,10 +8,13 @@
 //! - no snapshot published yet → refuse `INIT`
 //! - snapshot marked unsynchronized → refuse `UNSY`
 //! - snapshot staleness beyond the horizon → refuse `STAL`
+//! - counter reading more than [`MAX_BACKSTEP`] *behind* the seal →
+//!   refuse `STEP`
 //! - otherwise serve: `Tb = Ca(tsc)`, `Te = Tb + residence`, and the
 //!   response's root-dispersion field carries the **served-error bound**
-//!   `bound + widen_rate·staleness`, rounded *up* to the 16.16 wire
-//!   format so the bound on the wire never under-reports.
+//!   `bound + widen_rate·staleness` (`bound + |staleness|` for a reading
+//!   behind the seal), rounded *up* to the 16.16 wire format so the bound
+//!   on the wire never under-reports.
 //!
 //! A refusal is a stratum-0 Kiss-o'-Death response (LI unsynchronized,
 //! refid = code) — honest unavailability instead of a silently stale
@@ -24,7 +27,6 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tsc_ntp::packet::{Mode, NtpPacket};
-use tsc_ntp::server::DEFAULT_RESIDENCE;
 use tsc_ntp::timestamp::{NtpShort, NtpTimestamp};
 use tsc_telemetry as telemetry;
 
@@ -34,14 +36,33 @@ pub const REFUSE_INIT: [u8; 4] = *b"INIT";
 pub const REFUSE_UNSYNC: [u8; 4] = *b"UNSY";
 /// Refusal code: the snapshot is older than the staleness horizon.
 pub const REFUSE_STALE: [u8; 4] = *b"STAL";
+/// Refusal code: the counter reads further behind the seal than
+/// [`MAX_BACKSTEP`] (RFC 5905's "a step change in system time has
+/// occurred").
+pub const REFUSE_STEP: [u8; 4] = *b"STEP";
+
+/// Largest backstep (seconds) of a counter reading behind the seal that
+/// is still served. A reader that raced a republish sits nanoseconds to
+/// microseconds behind; a TSC reset, suspend/resume or VM migration
+/// steps the counter back by seconds to hours. 1 ms sits three orders of
+/// magnitude above the first and below the second, so the benign race
+/// is served (with the backstep added to the bound) and a real step is
+/// refused instead of answered with wrong time under a tight bound.
+pub const MAX_BACKSTEP: f64 = 1e-3;
+
+/// Nominal server residence `Te − Tb` (seconds). The paper's servers
+/// answer in ~12 µs minimum residence; the plane reads its counter once
+/// per request for `Tb` and derives `Te = Tb + residence` from this model
+/// instead of paying for a second read.
+pub const DEFAULT_RESIDENCE: f64 = 10e-6;
 
 /// Serving-plane policy knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServeConfig {
     /// Refuse once the snapshot is staler than this (seconds).
     pub stale_horizon: f64,
-    /// Modeled residence `Te − Tb` (seconds) — same model as the legacy
-    /// server's [`DEFAULT_RESIDENCE`].
+    /// Modeled residence `Te − Tb` (seconds), [`DEFAULT_RESIDENCE`] by
+    /// default.
     pub residence: f64,
     /// Max datagrams per batch.
     pub batch: usize,
@@ -86,6 +107,9 @@ pub fn decide(cfg: &ServeConfig, snap: Option<&ClockSnapshot>, tsc: u64) -> Deci
         return Decision::Refuse(REFUSE_UNSYNC);
     }
     let staleness = snap.staleness(tsc);
+    if staleness < -MAX_BACKSTEP {
+        return Decision::Refuse(REFUSE_STEP);
+    }
     if staleness > cfg.stale_horizon {
         return Decision::Refuse(REFUSE_STALE);
     }
@@ -392,6 +416,24 @@ mod tests {
                 // resolves to that granularity.
                 assert!((te - tb - cfg.residence).abs() < 5e-7);
                 assert!((bound - (20e-6 + 1e-7 * 9.0)).abs() < 1e-12);
+            }
+            d => panic!("expected serve, got {d:?}"),
+        }
+        // A counter 1000 s behind the seal (TSC reset, suspend,
+        // migration): refuse, never serve base − 1000 s.
+        let s = synced_snap(2_000_000_000_000);
+        let tsc = s.tsc0 - 1_000_000_000_000;
+        assert_eq!(decide(&cfg, Some(&s), tsc), Decision::Refuse(REFUSE_STEP));
+        // Just past the backstep limit still refuses.
+        let tsc = s.tsc0 - (MAX_BACKSTEP * 1e9) as u64 - 1;
+        assert_eq!(decide(&cfg, Some(&s), tsc), Decision::Refuse(REFUSE_STEP));
+        // A few µs behind (a reader that raced a republish): serve, with
+        // the whole backstep added to the bound.
+        let tsc = s.tsc0 - 3_000;
+        match decide(&cfg, Some(&s), tsc) {
+            Decision::Serve { tb, bound, .. } => {
+                assert!((tb - (1.0e9 - 3e-6)).abs() < 1e-6);
+                assert!((bound - (20e-6 + 3e-6)).abs() < 1e-12, "bound {bound}");
             }
             d => panic!("expected serve, got {d:?}"),
         }

@@ -13,45 +13,45 @@
 //! (Ctrl-C to stop) while the discipline loop republishes every 200 ms.
 //!
 //! The host's "TSC" is a nanosecond counter derived from `Instant` (the
-//! paper's driver-level counter read, minus the kernel); the server answers
-//! from a deliberately *offset* clock so the convergence of the offset
-//! estimate is visible. Polling is accelerated (200 ms instead of 16 s) so
-//! the demo finishes in seconds — the algorithms only see timestamps, not
-//! wall-clock patience.
+//! paper's driver-level counter read, minus the kernel); the stratum-1
+//! server is the same `tsc-serve` daemon answering from a snapshot sealed
+//! off a deliberately *offset* system clock, so the convergence of the
+//! offset estimate is visible. Polling is accelerated (200 ms instead of
+//! 16 s) so the demo finishes in seconds — the algorithms only see
+//! timestamps, not wall-clock patience.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
-use tscclock_repro::ntp::{self, ServerClock, SntpClient};
-use tscclock_repro::serve::{PublishPolicy, Publisher, ServeConfig, SnapshotCell};
+use tscclock_repro::ntp::SntpClient;
+use tscclock_repro::serve::{spawn_udp, PublishPolicy, Publisher, ServeConfig, SnapshotCell};
 
-/// A server whose clock is the system clock shifted by a fixed offset —
-/// stand-in for a remote stratum-1 whose absolute time we must acquire.
-struct ShiftedServerClock {
-    offset: f64,
-}
-
-impl ServerClock for ShiftedServerClock {
-    fn now_unix(&mut self) -> f64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0)
-            + self.offset
-    }
-    fn reference_id(&self) -> [u8; 4] {
-        *b"SIM\0"
-    }
+/// Unix time from the system clock.
+fn system_now() -> f64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs_f64())
+        .unwrap_or(0.0)
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. A stratum-1 server on an ephemeral localhost port, 3.5 s ahead.
-    let server = ntp::server::spawn("127.0.0.1:0", ShiftedServerClock { offset: 3.5 })?;
-    println!("simulated stratum-1 server listening on {}", server.addr());
-
-    // 2. The host's raw counter: nanoseconds since program start (~1 GHz).
+    // 1. The host's raw counter: nanoseconds since program start (~1 GHz).
     let t0 = Instant::now();
     let read_tsc = move || t0.elapsed().as_nanos() as u64;
+
+    // 2. A stratum-1 server on an ephemeral localhost port, 3.5 s ahead:
+    //    one snapshot of the shifted system clock at 1 ns per count.
+    let reference = Arc::new(SnapshotCell::new());
+    let mut stratum1 = Publisher::new(
+        Arc::clone(&reference),
+        PublishPolicy {
+            reference_id: *b"SIM\0",
+            ..PublishPolicy::default()
+        },
+    );
+    stratum1.seal(read_tsc(), system_now() + 3.5, 1e-9, true);
+    let server = spawn_udp("127.0.0.1:0", reference, ServeConfig::default(), read_tsc)?;
+    println!("simulated stratum-1 server listening on {}", server.addr());
 
     // 3. Client + clock. The poll period entering the config matters only
     //    for the window-to-packet-count conversions.
@@ -103,10 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. Read the absolute clock and compare with the server's clock.
     let now_tsc = read_tsc();
     if let Some(ca) = clock.absolute_time(now_tsc) {
-        let server_now = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)?
-            .as_secs_f64()
-            + 3.5;
+        let server_now = system_now() + 3.5;
         println!("\nabsolute clock reads : {ca:.6} (Unix s)");
         println!("server clock reads   : {server_now:.6}");
         println!(
@@ -125,7 +122,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let cell = Arc::new(SnapshotCell::new());
     let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
     publisher.publish_clock(&clock, read_tsc());
-    let daemon = tscclock_repro::serve::spawn_udp(
+    let daemon = spawn_udp(
         listen.as_str(),
         Arc::clone(&cell),
         ServeConfig::default(),

@@ -1,30 +1,35 @@
-//! End-to-end test over real UDP loopback: simulated stratum-1 server,
+//! End-to-end test over real UDP loopback: a simulated stratum-1 server
+//! (the `tsc-serve` daemon answering off a sealed, shifted system clock),
 //! SNTP client, and the TSC-NTP clock acquiring absolute time.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tscclock_repro::clock::{ClockConfig, RawExchange, TscNtpClock};
-use tscclock_repro::ntp::{self, ServerClock, SntpClient};
+use tscclock_repro::ntp::SntpClient;
+use tscclock_repro::serve::{spawn_udp, PublishPolicy, Publisher, ServeConfig, SnapshotCell};
 
-/// Server clock: system time plus a known offset we expect to acquire.
-struct Shifted(f64);
-impl ServerClock for Shifted {
-    fn now_unix(&mut self) -> f64 {
-        std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0)
-            + self.0
-    }
+/// Unix time from the system clock.
+fn system_now() -> f64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .unwrap()
+        .as_secs_f64()
 }
 
 #[test]
 fn acquire_absolute_time_over_loopback() {
-    let server = ntp::server::spawn("127.0.0.1:0", Shifted(2.0)).expect("bind server");
-    let mut client = SntpClient::connect(server.addr()).expect("client");
-    client.set_timeout(Duration::from_secs(1)).unwrap();
-
     let t0 = Instant::now();
     let read_tsc = move || t0.elapsed().as_nanos() as u64;
+
+    // Stratum-1 reference: system time plus a known offset we expect to
+    // acquire, sealed at 1 ns per count of the shared counter.
+    let cell = Arc::new(SnapshotCell::new());
+    let mut publisher = Publisher::new(Arc::clone(&cell), PublishPolicy::default());
+    publisher.seal(read_tsc(), system_now() + 2.0, 1e-9, true);
+    let server =
+        spawn_udp("127.0.0.1:0", cell, ServeConfig::default(), read_tsc).expect("bind server");
+    let mut client = SntpClient::connect(server.addr()).expect("client");
+    client.set_timeout(Duration::from_secs(1)).unwrap();
 
     let mut cfg = ClockConfig::paper_defaults(0.02);
     cfg.warmup_packets = 6;
@@ -62,11 +67,7 @@ fn acquire_absolute_time_over_loopback() {
 
     let now_tsc = read_tsc();
     let ca = clock.absolute_time(now_tsc).expect("clock aligned");
-    let server_now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .unwrap()
-        .as_secs_f64()
-        + 2.0;
+    let server_now = system_now() + 2.0;
     let err = (ca - server_now).abs();
     // Loopback RTTs are ~50-500 µs; scheduling noise in CI can be worse.
     // Acquiring the 2-second offset to within 5 ms demonstrates the loop.
