@@ -12,13 +12,17 @@
 //!   crash-recovery engine at checkpoint cadences 0 (disabled), 1k and
 //!   10k packets. Cadence 0 bounds the engine's wrapper overhead vs
 //!   `replay_fleet`; the other rows price periodic `snapshot()` calls.
+//! * `population_checkpointed_*` — the same tax on a lifecycle-client
+//!   population (the shape of the end-to-end `population_recovery`
+//!   workload): no checkpoints, a checkpoint every 64 requests, and
+//!   checkpoints plus a seeded crash schedule, on a 2-thread pool.
 //!
 //! Set `BENCH_JSON=BENCH_snapshot.json` to write machine-readable rows.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use tsc_fleet::{
-    replay_fleet_checkpointed, total_delivered, CrashPlan, FleetConfig, LifecycleClient,
-    LifecycleConfig, WorkerPool,
+    replay_fleet_checkpointed, replay_population_checkpointed, total_delivered, CrashPlan,
+    FleetConfig, LifecycleClient, LifecycleConfig, PopulationConfig, WorkerPool,
 };
 use tsc_netsim::{MultiServerScenario, OnDemandSim, RoundSample, Scenario};
 use tsc_quorum::{QuorumClock, QuorumConfig};
@@ -151,5 +155,47 @@ fn bench_fleet_checkpointing(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_snapshot_codec, bench_fleet_checkpointing);
+/// The checkpointing tax on a population: 48 consumer-mix clients over
+/// six hours at 64 s polling with a one-hour outage, a checkpoint every
+/// 64 requests, and half the clients crashing up to three times.
+fn bench_population_checkpointing(c: &mut Criterion) {
+    let duration = 6.0 * 3600.0;
+    let scenario = Scenario::baseline(0)
+        .with_poll_period(64.0)
+        .with_duration(duration)
+        .with_outage(0.4 * duration, 0.4 * duration + 3600.0);
+    let cfg = PopulationConfig::new(48, 41, scenario, ClockConfig::paper_defaults(64.0));
+    let crash = CrashPlan {
+        seed: 41 ^ 0xC4A5_11ED,
+        crash_frac: 0.5,
+        max_crashes: 3,
+        horizon_packets: (duration / 64.0) as u64,
+    };
+    let mut pool = WorkerPool::new(2);
+    let (summary, _) = replay_population_checkpointed(&mut pool, &cfg, 0, &CrashPlan::none());
+    let requests: u64 = summary.clients.iter().map(|c| c.counters.0).sum();
+    let mut g = c.benchmark_group("population_checkpointed_48clients");
+    g.sample_size(20);
+    g.throughput(Throughput::Elements(requests));
+    for (label, every, plan) in [
+        ("cadence0", 0u64, CrashPlan::none()),
+        ("cadence64", 64, CrashPlan::none()),
+        ("cadence64_crashes", 64, crash),
+    ] {
+        g.bench_function(label, |b| {
+            b.iter(|| {
+                let (s, stats) = replay_population_checkpointed(&mut pool, &cfg, every, &plan);
+                std::hint::black_box((s.clients.len(), stats.checkpoints))
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_snapshot_codec,
+    bench_fleet_checkpointing,
+    bench_population_checkpointing
+);
 criterion_main!(benches);

@@ -562,13 +562,7 @@ impl TscNtpClock {
     /// subsequent packet (see `crates/core/README.md` and the
     /// `snapshot_resume` differential suite).
     pub fn snapshot(&self) -> Vec<u8> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
-        let mut w = crate::snapshot::SnapshotWriter::new();
-        self.save_state(&mut w);
-        let blob = w.seal(crate::snapshot::kind::CLOCK);
-        tm.stop();
-        telemetry::add(telemetry::Ctr::SnapshotSeals, 1);
-        blob
+        crate::snapshot::seal_with(crate::snapshot::kind::CLOCK, |w| self.save_state(w))
     }
 
     /// Restores a clock from a [`TscNtpClock::snapshot`] blob.
@@ -579,20 +573,7 @@ impl TscNtpClock {
     /// untrusted bytes. Callers are expected to fall back to a cold
     /// [`TscNtpClock::new`] on error (restore-or-degrade).
     pub fn restore(bytes: &[u8]) -> Result<Self, crate::SnapshotError> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::RestoreNs);
-        let result = (|| {
-            let payload = crate::snapshot::open_envelope(bytes, crate::snapshot::kind::CLOCK)?;
-            let mut r = crate::snapshot::SnapshotReader::new(payload);
-            let clock = Self::load_state(&mut r)?;
-            r.finish()?;
-            Ok(clock)
-        })();
-        tm.stop();
-        match &result {
-            Ok(_) => telemetry::add(telemetry::Ctr::SnapshotRestores, 1),
-            Err(e) => crate::snapshot::record_restore_failure(e, bytes.len()),
-        }
-        result
+        crate::snapshot::open_with(bytes, crate::snapshot::kind::CLOCK, Self::load_state)
     }
 }
 

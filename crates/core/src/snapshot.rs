@@ -20,20 +20,33 @@
 //! ```text
 //!   offset  size  field
 //!   0       4     magic  b"TSNP"
-//!   4       2     format version (little-endian u16, currently 1)
+//!   4       2     format version (little-endian u16, currently 2)
 //!   6       1     payload kind (what component the payload encodes)
 //!   7       8     payload length (little-endian u64)
 //!   15      n     payload (component-defined, written via SnapshotWriter)
-//!   15+n    8     FNV-1a-64 checksum over bytes [0, 15+n)
+//!   15+n    8     word checksum over bytes [0, 15+n)
 //! ```
 //!
+//! The checksum reads bytes `[0, 15+n)` as little-endian `u64` words,
+//! zero-padding the last one, and folds each word into a running hash:
+//! `h ← h ⊕ w`, `h ← h ⊕ (h ≫ 32)`, `h ← h·prime` (the odd 64-bit FNV
+//! prime). One dependent multiply per 8 bytes instead of per byte.
+//! Format v1 used byte-serial FNV-1a-64; v2 is the word checksum, and a
+//! v1 blob is refused with [`SnapshotError::VersionMismatch`].
+//!
 //! [`open_envelope`] validates in this order: truncation (total and
-//! declared payload length), magic, checksum, version, kind — so every
-//! corrupted, truncated or foreign blob yields a typed [`SnapshotError`],
-//! never a panic and never a silently-wrong restore. FNV-1a detects
-//! *every* single-bit flip deterministically: each step
-//! `h ← (h ⊕ byte)·prime` is injective in `h` (odd multiplier), so two
-//! inputs differing in one byte can never collide. Restores additionally
+//! declared payload length), magic, version, checksum, kind — the
+//! version comes before the checksum because it says which checksum the
+//! blob carries. Every corrupted, truncated or foreign blob yields a
+//! typed [`SnapshotError`], never a panic and never a silently-wrong
+//! restore. The checksum detects *every* single-bit flip
+//! deterministically. For a fixed word each of the three steps is a
+//! bijection of `h` (xor with a constant, an xorshift, a multiply by an
+//! odd number), and the xor is also injective in the word. So two word
+//! sequences of equal length that differ in one word share `h` before
+//! that word, differ after it, and stay different through every later
+//! step. Zero-padding cannot hide a flip: the header fixes the length,
+//! and a flip in the length field is a truncation. Restores additionally
 //! re-validate semantic invariants (config validation, ring geometry,
 //! enum tags), returning [`SnapshotError::Invalid`] on anything a flipped
 //! bit could sneak past the structural checks.
@@ -49,7 +62,7 @@ use std::fmt;
 pub const MAGIC: [u8; 4] = *b"TSNP";
 
 /// Current snapshot format version.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Payload kinds (one per snapshottable root component).
 pub mod kind {
@@ -59,7 +72,7 @@ pub mod kind {
     pub const QUORUM: u8 = 2;
     /// A `tsc_fleet::LifecycleClient`.
     pub const LIFECYCLE: u8 = 3;
-    /// A fleet replay checkpoint (component snapshot + replay sidecar:
+    /// A fleet replay checkpoint (component state + replay sidecar:
     /// digest, progress counters, sim re-drive script).
     pub const CHECKPOINT: u8 = 4;
 }
@@ -73,11 +86,30 @@ const TRAILER_LEN: usize = 8;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// FNV-1a-64 over a byte slice (the envelope checksum).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(FNV_OFFSET, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
+/// One word of the checksum. Each step is a bijection of `h`, which is
+/// what makes every single-bit flip detectable (see the module docs).
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    let h = h ^ word;
+    (h ^ (h >> 32)).wrapping_mul(FNV_PRIME)
+}
+
+/// The envelope checksum: [`mix`] over `bytes` as little-endian `u64`
+/// words, the last one zero-padded.
+fn checksum(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = FNV_OFFSET;
+    for w in &mut words {
+        let word = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        h = mix(h, word);
+    }
+    let tail = words.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        h = mix(h, u64::from_le_bytes(last));
+    }
+    h
 }
 
 /// Why a snapshot failed to open or decode. Every variant is a clean,
@@ -89,7 +121,7 @@ pub enum SnapshotError {
     /// The blob is shorter than its header + declared payload + checksum,
     /// or a field read ran off the end of the payload.
     Truncated,
-    /// The trailing FNV-1a checksum does not match the content.
+    /// The trailing checksum does not match the content.
     Checksum,
     /// The envelope was written by an incompatible format version.
     VersionMismatch {
@@ -149,9 +181,8 @@ impl SnapshotError {
 
 /// Records a failed restore in the telemetry plane: bumps the error
 /// counter and pushes a [`tsc_telemetry::EventKind::RestoreFailed`]
-/// flight-recorder event naming the typed error. Shared by every
-/// component restore path (clock, quorum, lifecycle).
-pub fn record_restore_failure(e: &SnapshotError, blob_len: usize) {
+/// flight-recorder event naming the typed error.
+fn record_restore_failure(e: &SnapshotError, blob_len: usize) {
     tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotRestoreErrors, 1);
     tsc_telemetry::event(
         tsc_telemetry::EventKind::RestoreFailed,
@@ -161,26 +192,36 @@ pub fn record_restore_failure(e: &SnapshotError, blob_len: usize) {
     );
 }
 
-/// Little-endian binary writer for snapshot payloads.
-#[derive(Debug, Default)]
+/// Little-endian binary writer for snapshot payloads. The payload is
+/// written straight after room for the envelope header, so sealing fills
+/// the header in place and appends the checksum without copying.
+#[derive(Debug)]
 pub struct SnapshotWriter {
     buf: Vec<u8>,
+}
+
+impl Default for SnapshotWriter {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl SnapshotWriter {
     /// An empty payload writer.
     pub fn new() -> Self {
-        Self::default()
+        Self {
+            buf: vec![0; HEADER_LEN],
+        }
     }
 
-    /// Bytes written so far.
+    /// Payload bytes written so far.
     pub fn len(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - HEADER_LEN
     }
 
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
+        self.len() == 0
     }
 
     /// Appends one byte.
@@ -220,12 +261,6 @@ impl SnapshotWriter {
         self.put_u8(v as u8);
     }
 
-    /// Appends a length-prefixed byte string (e.g. a nested envelope).
-    pub fn put_bytes(&mut self, b: &[u8]) {
-        self.put_usize(b.len());
-        self.buf.extend_from_slice(b);
-    }
-
     /// Appends `Some(f64)` as `1 + bits`, `None` as `0`.
     pub fn put_opt_f64(&mut self, v: Option<f64>) {
         match v {
@@ -238,22 +273,58 @@ impl SnapshotWriter {
     }
 
     /// Seals the payload into a versioned, checksummed envelope.
-    pub fn seal(self, kind: u8) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.buf.len() + TRAILER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        out.push(kind);
-        out.extend_from_slice(&(self.buf.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.buf);
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
-        out
+    pub fn seal(mut self, kind: u8) -> Vec<u8> {
+        let payload_len = self.len() as u64;
+        self.buf[0..4].copy_from_slice(&MAGIC);
+        self.buf[4..6].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        self.buf[6] = kind;
+        self.buf[7..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = checksum(&self.buf);
+        self.buf.extend_from_slice(&sum.to_le_bytes());
+        self.buf
     }
+}
+
+/// Seals the payload `write` produces into a `kind` envelope: the one
+/// seal path of every snapshottable component, timed and counted in the
+/// telemetry plane.
+pub fn seal_with(kind: u8, write: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+    let tm = tsc_telemetry::StageTimer::start(tsc_telemetry::Hist::SealNs);
+    let mut w = SnapshotWriter::new();
+    write(&mut w);
+    let blob = w.seal(kind);
+    tm.stop();
+    tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotSeals, 1);
+    blob
+}
+
+/// Opens a `kind` envelope and decodes its payload with `read`, which
+/// must consume it exactly: the one restore path of every snapshottable
+/// component. Timed and counted in the telemetry plane; a failure also
+/// leaves a flight-recorder event naming the typed error.
+pub fn open_with<T>(
+    bytes: &[u8],
+    kind: u8,
+    read: impl FnOnce(&mut SnapshotReader<'_>) -> Result<T, SnapshotError>,
+) -> Result<T, SnapshotError> {
+    let tm = tsc_telemetry::StageTimer::start(tsc_telemetry::Hist::RestoreNs);
+    let result = open_envelope(bytes, kind).and_then(|payload| {
+        let mut r = SnapshotReader::new(payload);
+        let value = read(&mut r)?;
+        r.finish()?;
+        Ok(value)
+    });
+    tm.stop();
+    match &result {
+        Ok(_) => tsc_telemetry::add(tsc_telemetry::Ctr::SnapshotRestores, 1),
+        Err(e) => record_restore_failure(e, bytes.len()),
+    }
+    result
 }
 
 /// Validates an envelope and returns its payload slice.
 ///
-/// Check order: truncation → magic → checksum → version → kind. See the
+/// Check order: truncation → magic → version → checksum → kind. See the
 /// module docs for the corruption-detection guarantees.
 pub fn open_envelope(bytes: &[u8], expected_kind: u8) -> Result<&[u8], SnapshotError> {
     if bytes.len() < HEADER_LEN + TRAILER_LEN {
@@ -270,17 +341,17 @@ pub fn open_envelope(bytes: &[u8], expected_kind: u8) -> Result<&[u8], SnapshotE
     if (bytes.len() as u64) != expected_total {
         return Err(SnapshotError::Truncated);
     }
-    let body = &bytes[..bytes.len() - TRAILER_LEN];
-    let stored = u64::from_le_bytes(bytes[bytes.len() - TRAILER_LEN..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(SnapshotError::Checksum);
-    }
     let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
     if version != FORMAT_VERSION {
         return Err(SnapshotError::VersionMismatch {
             found: version,
             expected: FORMAT_VERSION,
         });
+    }
+    let body = &bytes[..bytes.len() - TRAILER_LEN];
+    let stored = u64::from_le_bytes(bytes[bytes.len() - TRAILER_LEN..].try_into().unwrap());
+    if checksum(body) != stored {
+        return Err(SnapshotError::Checksum);
     }
     if bytes[6] != expected_kind {
         return Err(SnapshotError::KindMismatch {
@@ -370,14 +441,6 @@ impl<'a> SnapshotReader<'a> {
         Ok(n)
     }
 
-    /// Reads a length-prefixed byte string written by
-    /// [`SnapshotWriter::put_bytes`]. The length is bounded by the
-    /// remaining payload, so corruption cannot drive an allocation.
-    pub fn get_bytes(&mut self) -> Result<&'a [u8], SnapshotError> {
-        let n = self.get_len(1)?;
-        self.take(n)
-    }
-
     /// Reads an `f64` from its raw bit pattern.
     pub fn get_f64(&mut self) -> Result<f64, SnapshotError> {
         Ok(f64::from_bits(self.get_u64()?))
@@ -442,30 +505,40 @@ mod tests {
 
     #[test]
     fn every_single_bit_flip_is_detected() {
-        let bytes = sample_envelope();
-        for i in 0..bytes.len() {
-            for bit in 0..8 {
-                let mut m = bytes.clone();
-                m[i] ^= 1 << bit;
-                assert!(
-                    open_envelope(&m, kind::CLOCK).is_err(),
-                    "flip of byte {i} bit {bit} went undetected"
-                );
+        // Payload lengths 0..=16 put the end of the checksummed bytes at
+        // every offset within a word, so every zero-padded tail is covered.
+        for payload_len in 0..=16u8 {
+            let mut w = SnapshotWriter::new();
+            for b in 0..payload_len {
+                w.put_u8(b.wrapping_mul(37) ^ 0x5a);
+            }
+            let bytes = w.seal(kind::CLOCK);
+            assert!(open_envelope(&bytes, kind::CLOCK).is_ok());
+            for i in 0..bytes.len() {
+                for bit in 0..8 {
+                    let mut m = bytes.clone();
+                    m[i] ^= 1 << bit;
+                    assert!(
+                        open_envelope(&m, kind::CLOCK).is_err(),
+                        "payload {payload_len}: flip of byte {i} bit {bit} went undetected"
+                    );
+                }
             }
         }
     }
 
     #[test]
     fn version_and_kind_mismatches_are_typed() {
-        // rebuild a valid checksum around a bumped version
+        // rebuild a valid checksum around a foreign version
         let bytes = sample_envelope();
-        let mut v2 = bytes[..bytes.len() - 8].to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let sum = fnv1a(&v2);
-        v2.extend_from_slice(&sum.to_le_bytes());
+        let other = FORMAT_VERSION + 1;
+        let mut foreign = bytes[..bytes.len() - 8].to_vec();
+        foreign[4..6].copy_from_slice(&other.to_le_bytes());
+        let sum = checksum(&foreign);
+        foreign.extend_from_slice(&sum.to_le_bytes());
         assert_eq!(
-            open_envelope(&v2, kind::CLOCK).unwrap_err(),
-            SnapshotError::VersionMismatch { found: 2, expected: FORMAT_VERSION }
+            open_envelope(&foreign, kind::CLOCK).unwrap_err(),
+            SnapshotError::VersionMismatch { found: other, expected: FORMAT_VERSION }
         );
         assert_eq!(
             open_envelope(&bytes, kind::QUORUM).unwrap_err(),

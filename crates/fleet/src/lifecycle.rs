@@ -634,10 +634,15 @@ impl LifecycleClient {
     /// clients stay spread across the jitter window instead of
     /// re-phase-locking.
     pub fn snapshot(&self) -> Vec<u8> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::SealNs);
-        let mut w = SnapshotWriter::new();
-        self.cfg.save_state(&mut w);
-        self.clock.save_state(&mut w);
+        snapshot::seal_with(snapshot::kind::LIFECYCLE, |w| self.write_state(w))
+    }
+
+    /// Writes the client state [`LifecycleClient::snapshot`] seals, with
+    /// no envelope of its own: a fleet checkpoint writes it inline, under
+    /// the checkpoint's one checksum.
+    pub(crate) fn write_state(&self, w: &mut SnapshotWriter) {
+        self.cfg.save_state(w);
+        self.clock.save_state(w);
         w.put_u8(self.state as u8);
         w.put_f64(self.next_send);
         w.put_f64(self.cooldown_until);
@@ -668,10 +673,6 @@ impl LifecycleClient {
         w.put_u64(self.accepted);
         w.put_u64(self.rejected);
         w.put_u64(self.timeouts);
-        let blob = w.seal(snapshot::kind::LIFECYCLE);
-        tm.stop();
-        telemetry::add(telemetry::Ctr::SnapshotSeals, 1);
-        blob
     }
 
     /// Restores a client from a [`LifecycleClient::snapshot`] blob.
@@ -681,21 +682,13 @@ impl LifecycleClient {
     /// [`LifecycleClient::restore_or_cold`] for the degrade-to-cold-start
     /// policy.
     pub fn restore(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let tm = telemetry::StageTimer::start(telemetry::Hist::RestoreNs);
-        let result = Self::restore_inner(bytes);
-        tm.stop();
-        match &result {
-            Ok(_) => telemetry::add(telemetry::Ctr::SnapshotRestores, 1),
-            Err(e) => snapshot::record_restore_failure(e, bytes.len()),
-        }
-        result
+        snapshot::open_with(bytes, snapshot::kind::LIFECYCLE, Self::read_state)
     }
 
-    fn restore_inner(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let payload = snapshot::open_envelope(bytes, snapshot::kind::LIFECYCLE)?;
-        let mut r = SnapshotReader::new(payload);
-        let cfg = LifecycleConfig::load_state(&mut r)?;
-        let clock = TscNtpClock::load_state(&mut r)?;
+    /// Reads the client state [`LifecycleClient::write_state`] wrote.
+    pub(crate) fn read_state(r: &mut SnapshotReader<'_>) -> Result<Self, SnapshotError> {
+        let cfg = LifecycleConfig::load_state(r)?;
+        let clock = TscNtpClock::load_state(r)?;
         let state = ClientState::from_tag(r.get_u8()?)?;
         let next_send = r.get_f64()?;
         let cooldown_until = r.get_f64()?;
@@ -732,7 +725,7 @@ impl LifecycleClient {
         for t in &mut time_in_state {
             *t = r.get_f64()?;
         }
-        let c = Self {
+        Ok(Self {
             cfg,
             clock,
             state,
@@ -752,9 +745,7 @@ impl LifecycleClient {
             accepted: r.get_u64()?,
             rejected: r.get_u64()?,
             timeouts: r.get_u64()?,
-        };
-        r.finish()?;
-        Ok(c)
+        })
     }
 
     /// Restore-or-degrade: tries [`LifecycleClient::restore`]; on any

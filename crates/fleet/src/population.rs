@@ -43,7 +43,7 @@ use tsc_netsim::multi::splitmix64;
 use tsc_telemetry as telemetry;
 use tsc_netsim::profile::{PathProfile, ProfileMix};
 use tsc_netsim::{OnDemandSim, Scenario};
-use tscclock::snapshot::{self, SnapshotReader, SnapshotWriter};
+use tscclock::snapshot;
 use tscclock::{ClockConfig, RawExchange, SnapshotError};
 
 /// Salt of the per-client churn draws.
@@ -162,6 +162,14 @@ impl PopulationConfig {
     fn buckets_len(&self) -> usize {
         (self.scenario.duration / self.bucket_width).ceil() as usize + 1
     }
+
+    /// Counts a request sent at `t`; a time past the last bucket is
+    /// dropped.
+    fn count_request(&self, buckets: &mut [u32], t: f64) {
+        if let Some(slot) = buckets.get_mut((t / self.bucket_width) as usize) {
+            *slot += 1;
+        }
+    }
 }
 
 /// Result of replaying one lifecycle client.
@@ -192,71 +200,74 @@ pub struct ClientSummary {
     pub digest: u64,
 }
 
-/// Seals a population-client checkpoint: the client's snapshot plus the
-/// replay sidecar (progress count, digest, sim re-drive script, buckets,
-/// errors) in one [`snapshot::kind::CHECKPOINT`] envelope.
+/// Seals a population-client checkpoint in one
+/// [`snapshot::kind::CHECKPOINT`] envelope under one checksum. Payload:
+/// the request count `n`, the digest, the client state inline
+/// ([`LifecycleClient::write_state`], no nested envelope), then the sim
+/// re-drive script `sent` and the accepted-exchange `errors`, each as a
+/// length-prefixed `f64` list. The request buckets are not stored: they
+/// are a pure function of `sent`, and the decoder recounts them.
 fn encode_client_checkpoint(
     client: &LifecycleClient,
     n: u64,
     digest: u64,
     sent: &[f64],
-    buckets: &[u32],
     errors: &[f64],
 ) -> Vec<u8> {
-    let mut w = SnapshotWriter::new();
-    w.put_u64(n);
-    w.put_u64(digest);
-    w.put_bytes(&client.snapshot());
-    w.put_usize(sent.len());
-    for &t in sent {
-        w.put_f64(t);
-    }
-    w.put_usize(buckets.len());
-    for &b in buckets {
-        w.put_u32(b);
-    }
-    w.put_usize(errors.len());
-    for &e in errors {
-        w.put_f64(e);
-    }
-    w.seal(snapshot::kind::CHECKPOINT)
+    snapshot::seal_with(snapshot::kind::CHECKPOINT, |w| {
+        w.put_u64(n);
+        w.put_u64(digest);
+        client.write_state(w);
+        for list in [sent, errors] {
+            w.put_usize(list.len());
+            for &x in list {
+                w.put_f64(x);
+            }
+        }
+    })
 }
 
+/// Opens a checkpoint and rebuilds the request buckets from `sent` with
+/// the live loop's rule ([`PopulationConfig::count_request`]).
 #[allow(clippy::type_complexity)]
 fn decode_client_checkpoint(
+    cfg: &PopulationConfig,
     blob: &[u8],
 ) -> Result<(LifecycleClient, u64, u64, Vec<f64>, Vec<u32>, Vec<f64>), SnapshotError> {
-    let payload = snapshot::open_envelope(blob, snapshot::kind::CHECKPOINT)?;
-    let mut r = SnapshotReader::new(payload);
-    let n = r.get_u64()?;
-    let digest = r.get_u64()?;
-    let client = LifecycleClient::restore(r.get_bytes()?)?;
-    let n_sent = r.get_len(8)?;
-    let mut sent = Vec::with_capacity(n_sent);
-    for _ in 0..n_sent {
-        sent.push(r.get_f64()?);
-    }
-    let n_buckets = r.get_len(4)?;
-    let mut buckets = Vec::with_capacity(n_buckets);
-    for _ in 0..n_buckets {
-        buckets.push(r.get_u32()?);
-    }
-    let n_errors = r.get_len(8)?;
-    let mut errors = Vec::with_capacity(n_errors);
-    for _ in 0..n_errors {
-        errors.push(r.get_f64()?);
-    }
-    r.finish()?;
-    if n != sent.len() as u64 {
-        return Err(SnapshotError::Invalid("checkpoint request count mismatch"));
+    let (client, n, digest, [sent, errors]) =
+        snapshot::open_with(blob, snapshot::kind::CHECKPOINT, |r| {
+            let (n, digest) = (r.get_u64()?, r.get_u64()?);
+            let client = LifecycleClient::read_state(r)?;
+            let mut lists = [Vec::new(), Vec::new()];
+            for list in &mut lists {
+                let len = r.get_len(8)?;
+                list.reserve_exact(len);
+                for _ in 0..len {
+                    list.push(r.get_f64()?);
+                }
+            }
+            if n != lists[0].len() as u64 {
+                return Err(SnapshotError::Invalid("checkpoint request count mismatch"));
+            }
+            Ok((client, n, digest, lists))
+        })?;
+    let mut buckets = vec![0u32; cfg.buckets_len()];
+    for &t in &sent {
+        cfg.count_request(&mut buckets, t);
     }
     Ok((client, n, digest, sent, buckets, errors))
 }
 
-/// The one population-client replay loop, with optional checkpointing and
-/// crash injection. `checkpoint_every == 0` with no crash points is the
-/// plain fast path ([`replay_population_client`] delegates here).
-fn run_population_client(
+/// Replays one client with periodic checkpointing and injected crashes:
+/// the one population-client replay loop. The summary is
+/// **bit-identical** to [`replay_population_client`] (which is this loop
+/// with `checkpoint_every == 0` and no crash points) for any crash
+/// schedule; a checkpoint that fails to restore degrades to a cold re-run
+/// from the join time (see [`crate::recovery`]).
+///
+/// `crash_points` are strictly-ascending request counts (as
+/// [`CrashPlan::points`] returns).
+pub fn replay_population_client_checkpointed(
     cfg: &PopulationConfig,
     i: usize,
     checkpoint_every: u64,
@@ -305,10 +316,7 @@ fn run_population_client(
         }
         client.end_cooldown(t);
         client.note_request();
-        let b = (t / cfg.bucket_width) as usize;
-        if let Some(slot) = buckets.get_mut(b) {
-            *slot += 1;
-        }
+        cfg.count_request(&mut buckets, t);
         let e = sim.exchange_at(t);
         let outcome = if e.lost || e.truth.tf - t > lc.timeout {
             // lost outright, or the response arrived after the client
@@ -344,7 +352,7 @@ fn run_population_client(
                 store.save(ClockCheckpoint {
                     delivered: n,
                     digest,
-                    blob: encode_client_checkpoint(&client, n, digest, &sent, &buckets, &errors),
+                    blob: encode_client_checkpoint(&client, n, digest, &sent, &errors),
                 });
                 stats.checkpoints += 1;
             }
@@ -355,19 +363,14 @@ fn run_population_client(
             // the worker dies: recover from the last checkpoint, or
             // degrade to a full cold re-run — either way the final
             // summary is bit-identical to the uninterrupted replay
-            match store.last().and_then(|ck| decode_client_checkpoint(&ck.blob).ok()) {
-                Some((c, rn, rd, rsent, rbuckets, rerrors)) => {
-                    client = c;
-                    n = rn;
-                    digest = rd;
-                    buckets = rbuckets;
-                    errors = rerrors;
+            match store.last().and_then(|ck| decode_client_checkpoint(cfg, &ck.blob).ok()) {
+                Some(ck) => {
+                    (client, n, digest, sent, buckets, errors) = ck;
                     sim = OnDemandSim::new(&scenario);
-                    for &ts in &rsent {
+                    for &ts in &sent {
                         let _ = sim.exchange_at(ts);
                     }
-                    stats.replayed += rsent.len() as u64;
-                    sent = rsent;
+                    stats.replayed += sent.len() as u64;
                     stats.warm_restores += 1;
                 }
                 None => {
@@ -419,24 +422,7 @@ fn run_population_client(
 /// Replays one lifecycle client: the pure function of `(cfg, i)` the
 /// parity contract is built on.
 pub fn replay_population_client(cfg: &PopulationConfig, i: usize) -> ClientSummary {
-    run_population_client(cfg, i, 0, &[], &mut LatestCheckpoint::default()).0
-}
-
-/// Replays one client with periodic checkpointing and injected crashes.
-/// The summary is **bit-identical** to [`replay_population_client`] for
-/// any crash schedule; a checkpoint that fails to restore degrades to a
-/// cold re-run from the join time (see [`crate::recovery`]).
-///
-/// `crash_points` are strictly-ascending request counts (as
-/// [`CrashPlan::points`] returns).
-pub fn replay_population_client_checkpointed(
-    cfg: &PopulationConfig,
-    i: usize,
-    checkpoint_every: u64,
-    crash_points: &[u64],
-    store: &mut dyn CheckpointStore,
-) -> (ClientSummary, RecoveryStats) {
-    run_population_client(cfg, i, checkpoint_every, crash_points, store)
+    replay_population_client_checkpointed(cfg, i, 0, &[], &mut LatestCheckpoint::default()).0
 }
 
 /// Fleet-level view of a population replay.
@@ -503,21 +489,7 @@ impl PopulationSummary {
 /// Replays the population across `pool`, one client per work item.
 /// Summaries are in client order and independent of thread count/chunk.
 pub fn replay_population(pool: &mut WorkerPool, cfg: &PopulationConfig) -> PopulationSummary {
-    telemetry::install_panic_dump();
-    telemetry::gauge_set(telemetry::Gauge::PopulationClients, cfg.clients as u64);
-    let chunk = if cfg.chunk == 0 {
-        (cfg.clients / (8 * pool.threads())).max(1)
-    } else {
-        cfg.chunk
-    };
-    let shared = Arc::new(cfg.clone());
-    let clients = pool.run(cfg.clients, chunk, move |i| {
-        replay_population_client(&shared, i)
-    });
-    PopulationSummary {
-        clients,
-        bucket_width: cfg.bucket_width,
-    }
+    replay_population_checkpointed(pool, cfg, 0, &CrashPlan::none()).0
 }
 
 /// Replays the population with per-client checkpointing and the given
@@ -542,7 +514,7 @@ pub fn replay_population_checkpointed(
         let (cfg, crash) = &*shared;
         let points = crash.points(i);
         let mut store = LatestCheckpoint::default();
-        run_population_client(cfg, i, checkpoint_every, &points, &mut store)
+        replay_population_client_checkpointed(cfg, i, checkpoint_every, &points, &mut store)
     });
     let mut stats = RecoveryStats::default();
     let clients = results
@@ -662,6 +634,32 @@ mod tests {
     fn small_cfg(clients: usize) -> PopulationConfig {
         let scenario = Scenario::baseline(0).with_duration(2.0 * 3600.0);
         PopulationConfig::new(clients, 77, scenario, ClockConfig::paper_defaults(16.0))
+    }
+
+    #[test]
+    fn checkpoint_codec_recounts_the_live_buckets() {
+        // A checkpoint after every request leaves the last one stored.
+        let cfg = small_cfg(1);
+        let mut store = LatestCheckpoint::default();
+        let (live, _) = replay_population_client_checkpointed(&cfg, 0, 1, &[], &mut store);
+        let (client, n, _, mut sent, buckets, errors) =
+            decode_client_checkpoint(&cfg, &store.last().unwrap().blob).unwrap();
+        assert_eq!(n, live.counters.0);
+        assert_eq!((&buckets, &errors), (&live.buckets, &live.errors));
+        // A send past the last bucket is dropped by the live rule and the decoder.
+        let past = cfg.scenario.duration + 10.0 * cfg.bucket_width;
+        let mut counted = live.buckets.clone();
+        cfg.count_request(&mut counted, past);
+        sent.push(past);
+        let blob = encode_client_checkpoint(&client, n + 1, 0, &sent, &errors);
+        assert_eq!(decode_client_checkpoint(&cfg, &blob).unwrap().4, counted);
+        assert_eq!(counted, live.buckets);
+        // `sent` disagreeing with the request count is refused.
+        let blob = encode_client_checkpoint(&client, n, 0, &sent, &errors);
+        assert_eq!(
+            decode_client_checkpoint(&cfg, &blob).unwrap_err(),
+            SnapshotError::Invalid("checkpoint request count mismatch")
+        );
     }
 
     #[test]

@@ -31,6 +31,7 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::time::Duration;
 use tsc_ntp::packet::PACKET_LEN;
+use tsc_telemetry as telemetry;
 
 /// Bytes per batch slot (one NTP header).
 pub const SLOT_LEN: usize = PACKET_LEN;
@@ -93,7 +94,8 @@ impl BatchBufs {
 ///   idle interval — callers poll a shutdown flag between batches.
 /// - `send_batch(tx, n)` answers the *immediately preceding* `recv_batch`:
 ///   slot `i` goes to the peer of receive slot `i`; `tx.len(i) == 0`
-///   skips the slot. Returns the number of datagrams actually sent.
+///   skips the slot. Returns the number of datagrams actually sent. A
+///   slot that cannot be sent does not stop the rest of the batch.
 pub trait DatagramBatch {
     fn recv_batch(&mut self, rx: &mut BatchBufs, max: usize) -> io::Result<usize>;
     fn send_batch(&mut self, tx: &BatchBufs, n: usize) -> io::Result<usize>;
@@ -156,9 +158,11 @@ impl DatagramBatch for UdpBatchTransport {
                 }
                 Err(ref e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(ref e) if crate::plane::is_idle_kind(e.kind()) => continue,
-                Err(e) => {
-                    self.socket.set_nonblocking(false)?;
-                    return Err(e);
+                // Keep the datagrams already drained; a persistent error
+                // resurfaces on the next batch's blocking receive.
+                Err(_) => {
+                    telemetry::add(telemetry::Ctr::ServeRecvErrors, 1);
+                    break;
                 }
             }
         }
@@ -173,8 +177,12 @@ impl DatagramBatch for UdpBatchTransport {
                 continue;
             }
             if let Some(peer) = self.peers[i] {
-                self.socket.send_to(tx.slot(i), peer)?;
-                sent += 1;
+                // One peer the kernel refuses (port 0, a broadcast
+                // source — both forgeable) must not cost the others.
+                match self.socket.send_to(tx.slot(i), peer) {
+                    Ok(_) => sent += 1,
+                    Err(_) => telemetry::add(telemetry::Ctr::ServeSendErrors, 1),
+                }
             }
         }
         Ok(sent)
@@ -325,6 +333,28 @@ mod tests {
         let (len, _) = c1.recv_from(&mut buf).unwrap();
         assert_eq!((len, buf[0]), (1, 1));
         let (len, _) = c2.recv_from(&mut buf).unwrap();
+        assert_eq!((len, buf[0]), (1, 2));
+    }
+
+    #[test]
+    fn unsendable_peer_does_not_drop_the_rest_of_the_batch() {
+        let mut server = UdpBatchTransport::bind("127.0.0.1:0", 2).unwrap();
+        let client = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let timeout = Some(Duration::from_secs(2));
+        client.set_read_timeout(timeout).unwrap();
+        // Slot 0's peer has source port 0, which the kernel refuses.
+        server.peers = vec![
+            Some("127.0.0.1:0".parse().unwrap()),
+            Some(client.local_addr().unwrap()),
+        ];
+        let mut tx = BatchBufs::new(2);
+        for i in 0..2 {
+            tx.slot_mut(i)[0] = i as u8 + 1;
+            tx.set_len(i, 1);
+        }
+        assert_eq!(server.send_batch(&tx, 2).unwrap(), 1);
+        let mut buf = [0u8; 8];
+        let (len, _) = client.recv_from(&mut buf).unwrap();
         assert_eq!((len, buf[0]), (1, 2));
     }
 

@@ -80,6 +80,9 @@ pub enum Ctr {
     /// Non-transient receive errors the serve loop survived (the loop
     /// counts and continues instead of dying silently).
     ServeRecvErrors,
+    /// Response datagrams the serve transport could not send (the kernel
+    /// refused the peer address); the rest of the batch is still sent.
+    ServeSendErrors,
     /// Clock snapshots sealed into a published cell.
     SnapshotsPublished,
 }
@@ -121,6 +124,7 @@ impl Ctr {
         Ctr::ServeRefusals,
         Ctr::ServeBatches,
         Ctr::ServeRecvErrors,
+        Ctr::ServeSendErrors,
         Ctr::SnapshotsPublished,
     ];
 
@@ -158,6 +162,7 @@ impl Ctr {
             Ctr::ServeRefusals => "serve_refusals",
             Ctr::ServeBatches => "serve_batches",
             Ctr::ServeRecvErrors => "serve_recv_errors",
+            Ctr::ServeSendErrors => "serve_send_errors",
             Ctr::SnapshotsPublished => "snapshots_published",
         }
     }

@@ -16,7 +16,7 @@
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
-use tsc_fleet::{LifecycleClient, LifecycleConfig};
+use tsc_fleet::{ClientState, LifecycleClient, LifecycleConfig};
 use tsc_netsim::{
     LevelShift, MultiServerScenario, OnDemandSim, RoundSample, Scenario, ServerKind, ServerPath,
 };
@@ -318,4 +318,37 @@ fn cross_kind_restore_is_a_kind_mismatch() {
         Err(SnapshotError::KindMismatch { .. }) => {}
         other => panic!("quorum blob into clock restore: {other:?}"),
     }
+}
+
+/// Byte-serial FNV-1a-64: the checksum trailer of snapshot format v1.
+fn fnv1a_v1(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// A format-v1 envelope (v1 header, FNV-1a trailer) is refused with a
+/// typed version error, and restore-or-degrade cold-starts it.
+#[test]
+fn v1_snapshots_are_refused_and_degrade_to_cold() {
+    let blob = &sample_blobs()[2];
+    let mut v1 = blob[..blob.len() - 8].to_vec();
+    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+    let sum = fnv1a_v1(&v1);
+    v1.extend_from_slice(&sum.to_le_bytes());
+    let want = SnapshotError::VersionMismatch {
+        found: 1,
+        expected: tscclock::snapshot::FORMAT_VERSION,
+    };
+    assert_eq!(LifecycleClient::restore(&v1).unwrap_err(), want);
+    let (cold, err) = LifecycleClient::restore_or_cold(
+        &v1,
+        LifecycleConfig::defaults(16.0),
+        ClockConfig::paper_defaults(16.0),
+        7,
+        0.0,
+    );
+    assert_eq!(err, Some(want));
+    assert_eq!(cold.state(), ClientState::Unsynced);
+    assert_eq!(cold.counters(), (0, 0, 0, 0));
 }
